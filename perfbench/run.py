@@ -10,8 +10,7 @@ one JSON object: ``correct``, ``attempted``, ``failed`` and ``metrics``
 (every end-to-end metric with ``--trace 0``, every per-layer metric with
 ``--trace 1``; names and units in ``metrics.py``).  Two ``#`` lines
 before it carry the run's metadata and details; the details hold the
-wall-clock figures (``metrics.WALL_CLOCK``), which are reported but not
-gated.
+figures that are reported but not gated (``metrics.UNGATED``).
 
 ``--trace 0`` measures one window of ``--seconds`` with no wrapper
 installed anywhere.  ``--trace 1`` splits the window into four slices,
@@ -24,6 +23,7 @@ while both callers are idle, so every span belongs to a traced action.
 from __future__ import annotations
 
 import argparse
+import compileall
 import itertools
 import json
 import os
@@ -45,14 +45,14 @@ from repro.obs.metrics import MetricsRegistry  # noqa: E402
 
 import ledger  # noqa: E402
 from metrics import (  # noqa: E402
-    END_TO_END, FALLBACK_REASONS, PER_LAYER, WALL_CLOCK,
+    END_TO_END, FALLBACK_REASONS, PER_LAYER, UNGATED,
 )
-from workloads import CALLERS, WORKLOADS, CheckFailed  # noqa: E402
+from workloads import CALLERS, WORKLOADS  # noqa: E402
 
 #: Slices of the untraced window; its rates are medians over them.
 SLICES = 10
 #: Set-ups per run; ``setup_s`` is their median and the last one serves.
-SETUPS = 3
+SETUPS = 7
 #: Unmeasured actions before the window (pools, plan caches, allocator),
 #: capped by the window length so smoke-scale runs stay short.
 WARMUP_S = 2.0
@@ -74,6 +74,23 @@ def proc_cpu_s(pid: int) -> float:
     with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
         fields = fh.read().rsplit(")", 1)[1].split()
     return (int(fields[11]) + int(fields[12])) / CLOCK_TICKS
+
+
+def proc_exec_s(pid: int) -> float:
+    """CPU seconds the live threads of process *pid* have run, to the ns.
+
+    From ``/proc/<pid>/task/*/schedstat``: time on a CPU only, so neither
+    waiting for a core nor time stolen by the hypervisor counts.
+    """
+    total = 0
+    for task in os.listdir(f"/proc/{pid}/task"):
+        try:
+            with open(f"/proc/{pid}/task/{task}/schedstat",
+                      encoding="ascii") as fh:
+                total += int(fh.read().split()[0])
+        except OSError:  # the thread ended meanwhile
+            pass
+    return total / 1e9
 
 
 def proc_hwm_mb(pid: int) -> float:
@@ -234,33 +251,43 @@ class SliceStats:
 
 
 def caller_loop(workload, caller, deadline, stats, recorder, numbering):
-    """Run actions back to back until *deadline*."""
-    while time.perf_counter() < deadline:
-        inputs = workload.next_input(caller)
-        start = time.perf_counter()
-        try:
-            if recorder is None:
-                outcome = workload.act(caller, inputs)
-            else:
-                outcome = recorder.span(
-                    "action", lambda: workload.act(caller, inputs),
-                    action=next(numbering),
-                )
-        except Exception as exc:  # noqa: BLE001 - counted, run goes on
-            stats.failed += 1
-            stats.failures.append(f"caller {caller.index}: {exc!r}")
-            workload.abandon(caller, inputs)
-            continue
-        latency = time.perf_counter() - start
-        try:
-            workload.check(caller, inputs, outcome)
-        except CheckFailed as exc:
-            stats.failed += 1
-            stats.wrong += 1
-            stats.failures.append(f"caller {caller.index}: {exc}")
-            continue
-        stats.completed += 1
-        stats.latencies.append(latency)
+    """Run actions back to back until *deadline*.
+
+    Every exception is counted: one from the action fails it, one from
+    its check (a failed check or a fault in the check itself) fails it
+    as wrong, and one anywhere else ends this caller as wrong.
+    """
+    try:
+        while time.perf_counter() < deadline:
+            inputs = workload.next_input(caller)
+            start = time.perf_counter()
+            try:
+                if recorder is None:
+                    outcome = workload.act(caller, inputs)
+                else:
+                    outcome = recorder.span(
+                        "action", lambda: workload.act(caller, inputs),
+                        action=next(numbering),
+                    )
+            except Exception as exc:  # noqa: BLE001 - counted, run goes on
+                stats.failed += 1
+                stats.failures.append(f"caller {caller.index}: {exc!r}")
+                workload.abandon(caller, inputs)
+                continue
+            latency = time.perf_counter() - start
+            try:
+                workload.check(caller, inputs, outcome)
+            except Exception as exc:  # noqa: BLE001 - counted, run goes on
+                stats.failed += 1
+                stats.wrong += 1
+                stats.failures.append(f"caller {caller.index}: {exc!r}")
+                continue
+            stats.completed += 1
+            stats.latencies.append(latency)
+    except Exception as exc:  # noqa: BLE001 - this caller cannot go on
+        stats.failed += 1
+        stats.wrong += 1
+        stats.failures.append(f"caller {caller.index} stopped: {exc!r}")
 
 
 def run_slice(workload, session, seconds, recorder=None, numbering=None):
@@ -292,17 +319,27 @@ def run_slice(workload, session, seconds, recorder=None, numbering=None):
 
 
 def set_up(workload, traced: bool):
-    """``SETUPS`` set-ups in a row; returns (times, the last session)."""
-    times = []
+    """``SETUPS`` set-ups in a row; returns (CPU s, wall s, last session).
+
+    A set-up runs from spawning the server to both callers having looked
+    up their service.  Its cost is the CPU time both processes spend on
+    it: server start, imports and fixture build, connects and lookups.
+    On a shared host, wall time adds whatever other tenants take; CPU
+    time does not, and it still shows any work moved into set-up.
+    """
+    cpu, wall = [], []
     session = None
     for _ in range(SETUPS):
         if session is not None:
             session.close()
             session = None
         start = time.perf_counter()
+        own = time.process_time()
         session = Session(workload, traced)
-        times.append(time.perf_counter() - start)
-    return times, session
+        wall.append(time.perf_counter() - start)
+        cpu.append(time.process_time() - own
+                   + proc_exec_s(session.server.pid))
+    return cpu, wall, session
 
 
 def percentile(values, q: float) -> float:
@@ -475,7 +512,13 @@ def ledger_problems(checks: dict) -> list:
 
 def run(workload_name: str, seed: int, seconds: float, trace: bool) -> dict:
     workload = WORKLOADS[workload_name](seed)
-    setups, session = set_up(workload, trace)
+    # Cache the program's bytecode first, even where the environment
+    # stops imports from writing it, so that every set-up loads it as a
+    # deployed server would and none compiles the sources.
+    for tree in (SRC, HERE):
+        if not compileall.compile_dir(tree, quiet=1):
+            raise RuntimeError(f"cannot compile {tree}")
+    setups, setups_wall, session = set_up(workload, trace)
     try:
         run_slice(workload, session, min(WARMUP_S, seconds))
         before = session.server.counters()
@@ -511,14 +554,16 @@ def run(workload_name: str, seed: int, seconds: float, trace: bool) -> dict:
         "calibration_ms": calibration_ms(),
         "steal_share": steal_share(steal0, steal1),
         "loadavg": list(os.getloadavg()), "setups_s": setups,
+        "setups_wall_s": setups_wall,
     }
     failed = stats.failed + absorbed_sheds + len(problems)
     metrics["error_rate"] = ratio(failed, stats.attempted)
     detail = {
-        "wall_clock": {
+        "ungated": {
             name: {"value": metrics[name], "unit": unit}
-            for name, unit in WALL_CLOCK.items() if name in metrics
+            for name, unit in UNGATED.items() if name in metrics
         },
+        "setup_wall_s": statistics.median(setups_wall),
         "latency_samples": len(stats.latencies),
         "wrong": stats.wrong, "sheds": sheds, "problems": problems,
         "failures": stats.failures[:5], **checks,

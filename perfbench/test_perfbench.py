@@ -17,7 +17,7 @@ import pytest
 import ledger
 import run
 import workloads
-from metrics import END_TO_END, LAYER_MAP, PER_LAYER, WALL_CLOCK
+from metrics import END_TO_END, LAYER_MAP, PER_LAYER, UNGATED
 
 SMOKE_S = 0.5
 BENCHMARK = os.path.join(run.ROOT, "BENCHMARK.json")
@@ -50,7 +50,7 @@ def test_benchmark_json_matches_the_metric_tables():
     mapped = {name for names, *_ in LAYER_MAP for name in names}
     assert mapped == set(PER_LAYER)
     for _, moves, on, _ in LAYER_MAP:
-        assert set(moves) <= set(END_TO_END) | set(WALL_CLOCK)
+        assert set(moves) <= set(END_TO_END) | set(UNGATED)
         assert set(on) <= set(workloads.WORKLOADS)
 
 
@@ -69,8 +69,8 @@ def test_one_command_emits_every_metric_with_its_unit(workload, trace):
         emitted = result["metrics"][metric["name"]]
         assert emitted["unit"] == metric["unit"]
         assert isinstance(emitted["value"], (int, float))
-    reported = detail["wall_clock"]
-    expected = WALL_CLOCK if not trace else {"error_rate": "ratio"}
+    reported = detail["ungated"]
+    expected = UNGATED if not trace else {"error_rate": "ratio"}
     assert {k: v["unit"] for k, v in reported.items()} == expected
     assert reported["error_rate"]["value"] == 0
 
@@ -118,6 +118,47 @@ def test_lost_work_calls_fail_the_end_check(monkeypatch):
     out = run.run("fanout-plans", 3, SMOKE_S, False)
     assert out["result"]["correct"] is False
     assert any("total()" in p for p in out["detail"]["problems"])
+
+
+def test_a_fault_in_the_check_is_counted_as_wrong(monkeypatch):
+    def broken(self, caller, width, values):
+        raise KeyError("fault in the check")
+
+    monkeypatch.setattr(workloads.FanoutPlans, "check", broken)
+    out = run.run("fanout-plans", 3, SMOKE_S, False)
+    result = out["result"]
+    assert result["correct"] is False
+    assert result["failed"] >= result["attempted"] >= 1
+    assert out["detail"]["wrong"] == result["attempted"]
+
+
+def test_a_caller_whose_inputs_fail_is_counted_not_lost(monkeypatch):
+    def exhausted(self, caller):
+        raise IndexError("no input left")
+
+    monkeypatch.setattr(workloads.FanoutPlans, "next_input", exhausted)
+    out = run.run("fanout-plans", 3, SMOKE_S, False)
+    result = out["result"]
+    assert result["correct"] is False
+    # Each slice starts the callers afresh; each stops at once again.
+    assert out["detail"]["wrong"] == result["failed"] >= workloads.CALLERS
+    assert all("stopped" in f for f in out["detail"]["failures"])
+
+
+def test_abandoned_work_calls_widen_the_end_check(monkeypatch):
+    act = workloads.FanoutPlans.act
+
+    def flaky(self, caller, width):
+        values = act(self, caller, width)
+        if caller.rng.random() < 0.3:
+            raise ConnectionError("reply lost")  # the calls did run
+        return values
+
+    monkeypatch.setattr(workloads.FanoutPlans, "act", flaky)
+    out = run.run("fanout-plans", 3, SMOKE_S, False)
+    assert out["result"]["failed"] >= 1
+    assert out["detail"]["wrong"] == 0
+    assert out["detail"]["problems"] == []
 
 
 def _watch_wrappers(monkeypatch, seen):

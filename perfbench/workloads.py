@@ -13,7 +13,8 @@ Why these three (also recorded in ``BENCHMARK.json``):
 - ``fanout-plans`` — wide read-only batches of a few repeated shapes:
   the plan layer and the DAG scheduler's parallel path carry the work.
 - ``files-bulk`` — the paper's §5.4 macro: two chained flushes moving
-  file contents, so the wire codec, framing and aio transport dominate.
+  file contents, so the wire codec, framing and aio transport carry
+  most bytes (the cursor ops' executor cost still sets the rate).
 
 An action's outcome is checked against a model kept by the caller.  An
 unexpected exception or a failed check counts the action as failed;
@@ -136,6 +137,8 @@ class BankSession(Workload):
 
     def next_input(self, caller):
         rng = caller.rng
+        if not caller.owned:
+            raise CheckFailed("every customer's balance became unknown")
         if rng.random() < self.MISSING_SHARE:
             caller.missing += 1
             customer = f"missing{caller.index}-{caller.missing}"
@@ -205,7 +208,8 @@ class FanoutPlans(Workload):
         return {"app": "load"}
 
     def prepare(self, caller):
-        caller.issued = 0
+        caller.issued = 0  # work() calls of checked actions
+        caller.unsure = 0  # work() calls of failed actions: ran or not
         caller.seen = []
 
     def next_input(self, caller):
@@ -227,7 +231,7 @@ class FanoutPlans(Workload):
             raise CheckFailed(f"width {width}: {values!r}")
 
     def abandon(self, caller, width):
-        caller.issued += width  # may have run; the end check allows it
+        caller.unsure += width
 
     def end_check(self, callers, network, address):
         client = RMIClient(network, address)
@@ -236,23 +240,35 @@ class FanoutPlans(Workload):
         finally:
             client.close()
         issued = sum(c.issued for c in callers)
+        unsure = sum(c.unsure for c in callers)
         seen = sorted(v for c in callers for v in c.seen)
         problems = []
-        if total != issued:
-            problems.append(f"LoadTarget.total() {total} != {issued} issued")
+        if not issued <= total <= issued + unsure:
+            problems.append(
+                f"LoadTarget.total() {total} outside [{issued}, "
+                f"{issued + unsure}] issued"
+            )
         if len(set(seen)) != len(seen) or (seen and seen[-1] > total):
             problems.append("work() returned a repeated or unissued count")
         return problems
 
 
 class FilesBulk(Workload):
-    """§5.4: metadata cursor, then a chained flush for k files' contents."""
+    """§5.4: metadata cursor, then a chained flush for k files' contents.
+
+    The first flush reads three metadata fields of every file in the
+    directory, each a cursor op for the server's executor; these ops
+    cost it more than the codec spends on the contents, so the
+    directory's size, not its bytes, sets the rate.
+    Eight files (k up to 8) keep a run at well over 1000 actions, and
+    16 KiB each keep contents above 90% of wire bytes.
+    """
 
     name = "files-bulk"
     service = "files"
-    FILES = 16
-    FILE_SIZE = 8192  # fixed, so bytes per action do not vary by seed
-    K_RANGE = (4, 16)
+    FILES = 8
+    FILE_SIZE = 16384  # fixed, so bytes per action do not vary by seed
+    K_RANGE = (4, 8)
     BASE_MTIME = 1_230_000_000
 
     def directory(self) -> list:
