@@ -101,9 +101,13 @@ def _serve(workers: int, exec_workers=None):
 
 
 def _fanout_flush(stub, fan: int, delay: float, policy=None) -> None:
-    """One fan-out batch: *fan* independent ``work(delay)`` chains."""
-    batch = (create_batch(stub, policy=policy) if policy is not None
-             else create_batch(stub))
+    """One fan-out batch: *fan* independent ``work(delay)`` chains.
+
+    Shipped inline, so every flush pays the server's per-batch DAG
+    analysis; a plan invocation would reuse the schedule cached at
+    install and leave the scheduler-tax lane nothing to measure.
+    """
+    batch = create_batch(stub, policy=policy, reuse_plans=False)
     futures = [batch.work(delay) for _ in range(fan)]
     batch.flush()
     for future in futures:

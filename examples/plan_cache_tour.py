@@ -1,8 +1,8 @@
 """Compiled batch plans end to end: wire bytes and latency of hot batches.
 
 Runs the same repeated 50-invocation file-server batch twice — inline
-(the paper's wire format, full script every flush) and with
-``reuse_plans=True`` (content-addressed plan cache) — under simulated
+(``reuse_plans=False``: the paper's wire format, full script every
+flush) and with plan reuse, the default (content-addressed plan cache) — under simulated
 LAN and WIRELESS conditions, then prints the per-flush byte counts, the
 virtual-time savings, and the server's plan-cache counters.
 

@@ -56,14 +56,14 @@ def main():
     except AccessDeniedError:
         print(f"{locked_name.get()}: size unknown (access denied)")
 
-    # -- hot batches: compiled plans (reuse_plans=True) --------------------
+    # -- hot batches: compiled plans (the default) --------------------------
     # The same shape flushed repeatedly ships the full script once; after
     # that each flush sends only a content hash plus the argument values.
     root_stub = client.lookup("root")
     per_flush = []
     for round_no in range(4):
         before = client.stats.bytes_sent
-        batch = create_batch(root_stub, reuse_plans=True)
+        batch = create_batch(root_stub)
         size = batch.get_file("file03.dat").length()
         batch.flush()
         size.get()

@@ -21,16 +21,18 @@ Quickstart::
     root.flush()                       # one round trip for all three calls
     print(name.get(), size.get())
 
-Hot batches can go further with compiled plans: pass
-``reuse_plans=True`` and a repeated batch shape is shipped once, cached
-server-side under its content hash, and re-invoked afterwards with just
-``(hash, argument values)`` — a fraction of the wire bytes per flush::
+Repeated batches go further on their own: a batch shape flushed again on
+the same client is shipped once as a compiled plan, cached server-side
+under its content hash, and re-invoked afterwards with just ``(hash,
+argument values)`` — a fraction of the wire bytes per flush::
 
     for name in many_names:
-        root = create_batch(client.lookup("root"), reuse_plans=True)
+        root = create_batch(client.lookup("root"))
         size = root.get_file(name).get_size()
         root.flush()                   # inline once, then plan invocations
         print(name, size.get())
+
+Pass ``reuse_plans=False`` to ship every flush as the full inline script.
 
 See DESIGN.md for the system inventory (including the plan layer) and
 EXPERIMENTS.md for the paper-figure reproductions.

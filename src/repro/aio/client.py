@@ -22,7 +22,7 @@ reuse, everything — sharing the same multiplexed connection::
 
     # threaded side, same connection: untouched batch/plan code
     stub = aclient.sync.lookup("service")
-    batch = create_batch(stub, reuse_plans=True)
+    batch = create_batch(stub)
 
 Stubs unmarshalled from async results are bound to the sync facade, so
 invoking them directly blocks — do that from worker threads, or go

@@ -112,7 +112,7 @@ class ClusterBatch:
     """One scatter-gather batch over a :class:`~repro.cluster.client.
     ClusterClient`'s shards; see the module docstring for semantics."""
 
-    def __init__(self, cluster, policy=None, reuse_plans: bool = False):
+    def __init__(self, cluster, policy=None, reuse_plans: bool = True):
         if policy is None:
             policy = default_policy()
         if not isinstance(policy, POLICY_TYPES):

@@ -135,7 +135,7 @@ class ClusterClient:
     # -- batching ----------------------------------------------------------
 
     def create_batch(self, policy=None,
-                     reuse_plans: bool = False) -> ClusterBatch:
+                     reuse_plans: bool = True) -> ClusterBatch:
         """Open a scatter-gather batch across this cluster's shards."""
         return ClusterBatch(self, policy=policy, reuse_plans=reuse_plans)
 

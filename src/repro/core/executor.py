@@ -763,12 +763,10 @@ class BatchExecutor:
             # A loopback/foreign stub: the stub enforces its own interface.
             return getattr(target, name)
         if isinstance(target, RemoteObject):
-            specs = {}
             from repro.rmi.remote import remote_interfaces, remote_methods
 
-            for iface in remote_interfaces(target):
-                specs.update(remote_methods(iface))
-            if name not in specs:
+            if not any(name in remote_methods(iface)
+                       for iface in remote_interfaces(target)):
                 raise NoSuchMethodError(name, interface_names(target))
             return getattr(target, name)
         raise NoSuchMethodError(name, (type(target).__name__,))

@@ -467,18 +467,21 @@ class BatchRecorder:
 
 
 def create_batch(stub: Stub, policy=None, client=None,
-                 reuse_plans: bool = False) -> BatchProxy:
+                 reuse_plans: bool = True) -> BatchProxy:
     """Wrap an RMI stub in a batch-object proxy (``BRMI.create``, §3.2).
 
     *policy* defaults to :class:`~repro.core.policies.AbortPolicy`.
     *client* is normally inferred from the stub; pass it explicitly only
     for hand-built stubs.
 
-    *reuse_plans* turns on compiled batch plans (:mod:`repro.plan`): the
-    returned proxy records and flushes exactly like a plain batch, but
-    its recorder memoizes flushed shapes per client and switches a
-    repeated shape to content-addressed plan invocation — one round trip
-    carrying only a hash and the argument values.
+    Batches reuse compiled plans (:mod:`repro.plan`) by default: the
+    proxy records and flushes exactly like a plain batch, but its
+    recorder memoizes flushed shapes per client and ships a repeated
+    shape as a content-addressed plan invocation — one round trip
+    carrying only a hash and the argument values.  Chained flushes stay
+    inline.  ``reuse_plans=False`` ships every flush as the full inline
+    script, the paper's BRMI wire behaviour, which the differential
+    oracles use as their reference.
     """
     if isinstance(stub, BatchProxy):
         raise TypeError("already a batch proxy; wrap the underlying stub")

@@ -25,11 +25,12 @@ object and every :class:`~repro.wire.refs.RemoteRef` parameter are
 re-resolved per invocation, and a root that was unexported raises the
 typed :class:`~repro.rmi.exceptions.PlanInvalidatedError`.
 
-Client adoption is transparent: ``create_batch(stub, reuse_plans=True)``
+Client adoption is the default and transparent: ``create_batch(stub)``
 returns a :class:`~repro.plan.client.PlanningBatchProxy` whose recorder
-memoizes flushed shapes and automatically switches a repeated batch to
-plan invocation, with results, exception-policy behavior and cursor
-geometry identical to the inline path.
+memoizes flushed shapes and automatically switches a repeated unchained
+batch to plan invocation, with results, exception-policy behavior and
+cursor geometry identical to the inline path.  ``reuse_plans=False``
+keeps the paper's inline script on every flush.
 """
 
 from repro.plan.cache import (

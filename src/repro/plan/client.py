@@ -1,9 +1,9 @@
 """Client-side plan adoption: memoized shapes, transparent switching.
 
-``create_batch(stub, reuse_plans=True)`` returns a
-:class:`PlanningBatchProxy` — API-identical to a plain batch proxy.  The
-difference is the recorder underneath: at flush time it compiles the
-recorded segment into a plan, consults the owning client's
+``create_batch(stub)`` returns a :class:`PlanningBatchProxy` by default
+(``reuse_plans=False`` opts out) — API-identical to a plain batch
+proxy.  The difference is the recorder underneath: at flush time it
+lifts the recorded segment into a plan, consults the owning client's
 :class:`PlanMemo`, and picks the cheapest wire strategy:
 
 - **first sighting** of a shape — ship inline, exactly like a plain
@@ -20,11 +20,12 @@ Because plans are content-addressed, installs are idempotent: each
 client uploads a shape at most once (two clients producing the same
 digest share one cache entry, and re-installing is harmless), and a
 stale memo costs one tiny extra round trip, never a wrong answer.
-Compilation and hashing run on every flush — roughly the CPU the
-inline path spends encoding the full script — so the win is wire
-bytes and latency, not client CPU.  Two guards keep
-the optimism bounded: the memo itself is a capped LRU (a client cannot
-leak memory by flushing endlessly varying shapes), and a shape whose
+Compilation and hashing run once per shape: the memo maps a structural
+key of the recording (see :func:`~repro.plan.model.lift_shape`) to its
+plan and digest, so a repeat pays one walk over the recording, which
+costs less than encoding the full script inline.  Two guards keep
+the optimism bounded: the memo is a capped LRU (a client cannot leak
+memory by flushing endlessly varying shapes), and a shape whose
 plan invocations keep missing — the server's cache is thrashing — is
 demoted back to the inline path after ``MISS_LIMIT`` consecutive
 misses.  Demotion is itself temporary: after ``RETRY_INTERVAL`` inline
@@ -36,13 +37,14 @@ inline path — their server context is inherently stateful.
 
 from __future__ import annotations
 
+import copy
 import threading
 from collections import OrderedDict
 
 from repro.core.proxy import BatchProxy, BatchRecorder
 from repro.core.recording import NONE_ID
 from repro.obs.tracer import current_tracer
-from repro.plan.model import compile_plan, plan_hash
+from repro.plan.model import compile_plan, lift_shape, plan_hash
 from repro.rmi.exceptions import PlanNotFoundError
 from repro.rmi.protocol import INSTALL_PLAN, INVOKE_PLAN
 
@@ -74,9 +76,11 @@ class PlanMemo:
     """Per-client memory of flushed batch shapes (thread-safe, bounded).
 
     Shared by every planning batch the client creates, so a shape seen
-    in one batch object is immediately "hot" for the next.  Bounded LRU:
-    the least recently flushed shapes are forgotten past *capacity*
-    (they simply go inline once more when they reappear).  Also counts
+    in one batch object is immediately "hot" for the next.  Remembers
+    each shape's compiled plan and digest (:meth:`lift`) and what the
+    server is believed to hold.  Bounded LRUs: the least recently
+    flushed shapes are forgotten past *capacity* (they are compiled
+    again, and go inline once more, when they reappear).  Also counts
     how each flush went out, for examples and tests.
     """
 
@@ -90,9 +94,32 @@ class PlanMemo:
         self._retry_interval = retry_interval
         self._lock = threading.Lock()
         self._seen = OrderedDict()
+        self._plans = OrderedDict()  # shape key -> (BatchPlan, digest)
         self.inline_flushes = 0
         self.plan_invocations = 0
         self.plan_installs = 0
+
+    def lift(self, invocations, policy):
+        """``(plan, digest, params)`` for a recorded segment.
+
+        Compiles and hashes each shape once: a repeat pays only for the
+        :func:`~repro.plan.model.lift_shape` walk.  The plan is compiled
+        under a copy of *policy*, so mutating a policy after a flush
+        cannot change a memoized plan behind its digest.
+        """
+        key, params = lift_shape(invocations, policy)
+        with self._lock:
+            entry = self._plans.get(key)
+            if entry is not None:
+                self._plans.move_to_end(key)
+        if entry is None:
+            plan, _ = compile_plan(invocations, copy.deepcopy(policy))
+            entry = (plan, plan_hash(plan))
+            with self._lock:
+                self._plans[key] = entry
+                while len(self._plans) > self._capacity:
+                    self._plans.popitem(last=False)
+        return entry[0], entry[1], params
 
     def repeat_sighting(self, digest: str) -> bool:
         """Count one sighting; True when the shape was seen before."""
@@ -198,8 +225,7 @@ class PlanningBatchRecorder(BatchRecorder):
             return self._ship_planned(invocations, keep_session, span)
 
     def _ship_planned(self, invocations, keep_session, span):
-        plan, params = compile_plan(invocations, self._policy)
-        digest = plan_hash(plan)
+        plan, digest, params = self._memo.lift(invocations, self._policy)
         if span is not None:
             span.set(digest=digest)
         memo = self._memo

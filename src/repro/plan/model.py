@@ -15,6 +15,12 @@ gives three properties for free: the cache key needs no coordination,
 an installed plan can be shared by every client that produces the same
 shape, and the server can verify an upload by re-hashing it.
 
+``lift_shape`` is the cheap half of compilation: one walk that yields a
+hashable structural key and the same parameter tuple ``compile_plan``
+would lift, without building the plan or encoding it.  Equal keys imply
+equal plans (and so equal ``plan_hash`` digests), which lets a client
+compile and hash each shape once and answer every repeat from a memo.
+
 ``BatchPlan.bind`` is the inverse of compilation: substitute a parameter
 tuple back into the slots, yielding plain ``InvocationData`` records the
 ordinary executor replays.  Binding never touches live objects — a
@@ -125,6 +131,71 @@ def compile_plan(invocations, policy):
 def plan_hash(plan: BatchPlan) -> str:
     """Content hash of the plan's canonical wire encoding (hex sha256)."""
     return hashlib.sha256(encode(plan)).hexdigest()
+
+
+def lift_shape(invocations, policy):
+    """The structural key and parameters of a recording, without compiling.
+
+    The key covers everything ``compile_plan`` keeps in the plan: each
+    op's seq, target, method, return kind and cursor link, the geometry
+    of its argument containers, dict keys, ArgRef literals and the
+    policy's encoding (by value: a :class:`~repro.core.policies.
+    CustomPolicy` is mutable, so its identity says nothing).  Leaves
+    become a marker in the key and a parameter in recording order, so
+    *params* equals the tuple ``compile_plan`` returns.  Sets are keyed
+    by their encoding, because their slot numbering follows the values'
+    canonical order.
+    """
+    params = []
+    flat = [encode(policy)]
+    for inv in invocations:
+        flat += (inv.seq, inv.target, inv.method, inv.returns_kind,
+                 inv.cursor_seq)
+        _shape(inv.args, flat, params)
+        _shape(inv.kwargs, flat, params)
+    return tuple(flat), tuple(params)
+
+
+#: Leaf types that need no isinstance walk (none is an ArgRef or container).
+_SCALARS = frozenset({str, int, float, bool, bytes, type(None)})
+
+# Markers of the flat shape key.  Private objects compare equal only to
+# themselves, so no recorded value can be mistaken for one.
+_LEAF, _LIST, _TUPLE, _DICT, _SET, _FROZENSET, _END = (
+    object() for _ in range(7)
+)
+
+
+def _shape(value, flat, params):
+    """Append *value*'s key tokens to *flat*, its leaves to *params*.
+
+    Mirrors :func:`_lift` branch for branch, so both see the same leaves
+    in the same order.
+    """
+    if isinstance(value, ArgRef):
+        flat.append(value)
+    elif isinstance(value, (list, tuple)):
+        flat.append(_LIST if isinstance(value, list) else _TUPLE)
+        for item in value:
+            if type(item) in _SCALARS:
+                flat.append(_LEAF)
+                params.append(item)
+            else:
+                _shape(item, flat, params)
+        flat.append(_END)
+    elif isinstance(value, dict):
+        flat.append(_DICT)
+        for key, item in value.items():
+            flat.append(key if type(key) is str else encode(key))
+            _shape(item, flat, params)
+        flat.append(_END)
+    elif isinstance(value, (set, frozenset)):
+        flat.append(_FROZENSET if isinstance(value, frozenset) else _SET)
+        flat.append(encode(value))
+        _lift(value, params)
+    else:
+        flat.append(_LEAF)
+        params.append(value)
 
 
 def _lift(value, params):

@@ -107,7 +107,7 @@ class RMIClient(MarshalContext):
     def plan_memo(self):
         """This client's memory of flushed batch shapes (created lazily).
 
-        Shared by every ``reuse_plans=True`` batch the client creates, so
+        Shared by every plan-reusing batch the client creates, so
         a shape that went hot in one batch stays hot in the next.
         """
         with self._lock:

@@ -61,8 +61,12 @@ DEFAULT_DEDUP_CAPACITY = 4096
 DEFAULT_DEDUP_WAIT = 30.0
 
 
-class _DedupEntry:
-    """One token's execution record: a latch plus the response bytes."""
+class _InFlight:
+    """A token whose owner is still executing: a latch plus its result.
+
+    Only in-flight tokens carry a latch; once the owner finishes, the
+    window keeps just the response bytes.
+    """
 
     __slots__ = ("ready", "response")
 
@@ -86,7 +90,8 @@ class DedupWindow:
     eviction re-executes — the window bounds memory, the client's
     bounded retry horizon bounds how late a duplicate can arrive).
     Entries still executing are never evicted, so a slow original cannot
-    be raced by its own retry.
+    be raced by its own retry.  A completed token is stored as its bare
+    response bytes; only executing tokens hold a latch.
     """
 
     def __init__(self, capacity: int = DEFAULT_DEDUP_CAPACITY,
@@ -131,26 +136,35 @@ class DedupWindow:
         """
         with self._lock:
             entry = self._entries.get(call_id)
-            owner = entry is None
-            if owner:
-                entry = self._entries[call_id] = _DedupEntry()
+            if entry is None:
+                entry = self._entries[call_id] = _InFlight()
                 self._executed += 1
+                owner = True
             else:
                 self._entries.move_to_end(call_id)
+                owner = False
+                if not isinstance(entry, _InFlight):
+                    self._hits += 1
         if owner:
             try:
                 entry.response = compute()
             finally:
                 # compute (RMICore.handle's inner pipeline) never raises,
                 # but a latch must never stay unset: waiters would hang.
-                entry.ready.set()
-                if entry.response is None:
-                    with self._lock:
+                with self._lock:
+                    if entry.response is None:
                         self._entries.pop(call_id, None)
+                    else:
+                        self._entries[call_id] = entry.response
+                entry.ready.set()
             self._evict()
             if observer is not None:
                 observer("executed")
             return entry.response
+        if not isinstance(entry, _InFlight):
+            if observer is not None:
+                observer("replayed")
+            return entry
         if not entry.ready.wait(self._wait_timeout):
             if observer is not None:
                 observer("timeout")
@@ -169,7 +183,7 @@ class DedupWindow:
         with self._lock:
             while len(self._entries) > self._capacity:
                 for call_id, entry in self._entries.items():
-                    if entry.ready.is_set():
+                    if not isinstance(entry, _InFlight):
                         del self._entries[call_id]
                         break
                 else:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import collections.abc
 import inspect
 import threading
+import types
 import typing
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -43,9 +44,10 @@ RESERVED_METHOD_NAMES = frozenset(
 _interface_registry = {}
 _registry_lock = threading.Lock()
 #: Bumped (under the lock) on every registration; invalidates the cached
-#: parallel-safety name map below.
+#: parallel-safety name map and the per-interface method tables below.
 _registry_version = 0
 _safe_names_cache = (-1, {})
+_methods_cache = {}  # interface -> (registry version, read-only specs)
 
 
 def remote_method(*, parallel_safe: bool = False):
@@ -196,18 +198,24 @@ def _classify_return(annotation):
     return "value", None
 
 
-def remote_methods(iface) -> "dict[str, MethodSpec]":
-    """Extract :class:`MethodSpec` for every method of a remote interface.
+def remote_methods(iface) -> "typing.Mapping[str, MethodSpec]":
+    """:class:`MethodSpec` for every method of a remote interface.
 
     Walks the MRO so extended interfaces inherit their parents' methods;
-    private names (leading underscore) are not remote.
+    private names (leading underscore) are not remote.  The table is
+    computed once per registry version (a new interface can resolve a
+    forward reference) and returned as a read-only mapping.
     """
     if not (isinstance(iface, type) and issubclass(iface, RemoteInterface)):
         raise TypeError(f"{iface!r} is not a remote interface class")
+    cached = _methods_cache.get(iface)
+    if cached is not None and cached[0] == _registry_version:
+        return cached[1]
     # Forward references in interfaces defined inside functions (common
     # in tests) cannot be resolved through module globals alone; the
     # interface registry provides every known interface by simple name.
     with _registry_lock:
+        version = _registry_version
         registry_names = {
             cls.__name__: cls for cls in _interface_registry.values()
         }
@@ -234,6 +242,8 @@ def remote_methods(iface) -> "dict[str, MethodSpec]":
             doc=inspect.getdoc(member) or "",
             parallel_safe=bool(getattr(member, "__parallel_safe__", False)),
         )
+    specs = types.MappingProxyType(specs)
+    _methods_cache[iface] = (version, specs)
     return specs
 
 

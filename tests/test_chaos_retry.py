@@ -7,6 +7,7 @@ in whatever order, on however many connections.
 """
 
 import threading
+import tracemalloc
 
 import pytest
 
@@ -338,6 +339,28 @@ class TestDedupWindow:
     def test_validation(self):
         with pytest.raises(ValueError):
             DedupWindow(capacity=0)
+
+    def test_full_window_keeps_responses_not_latches(self):
+        """A completed token costs its response bytes plus its LRU slot.
+
+        A ``threading.Event`` per completed token would add ~1.2 KB each
+        (its condition and lock), more than the responses it guards.
+        """
+        capacity, size = 4096, 600
+        window = DedupWindow(capacity=capacity)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(capacity):
+                window.execute(f"{'a' * 32}:{i}", lambda: bytes(size))
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(window) == capacity
+        assert held < capacity * (size + 400)
+        # Completed entries still replay without recomputing.
+        assert window.execute(f"{'a' * 32}:0", lambda: b"WRONG") == bytes(size)
+        assert window.hits == 1
 
 
 class TestExactlyOnceThroughDispatch:

@@ -41,6 +41,15 @@ class Extended(Shapes):
     def extra(self) -> str: ...
 
 
+#: Resolves to a plain value until an interface of this simple name is
+#: registered (see TestMethodTableCache).
+MethodTableProbeTarget = int
+
+
+class ForwardProbe(RemoteInterface):
+    def make(self) -> "MethodTableProbeTarget": ...
+
+
 class TestClassification:
     def test_value_return(self):
         assert remote_methods(Shapes)["plain"].returns_kind == "value"
@@ -72,6 +81,28 @@ class TestClassification:
     def test_non_interface_rejected(self):
         with pytest.raises(TypeError):
             remote_methods(int)
+
+
+class TestMethodTableCache:
+    def test_table_is_cached_and_read_only(self):
+        specs = remote_methods(Shapes)
+        assert remote_methods(Shapes) is specs
+        with pytest.raises(TypeError):
+            specs["plain"] = None
+
+    def test_registering_an_interface_invalidates_the_table(self):
+        before = remote_methods(ForwardProbe)
+        assert before["make"].returns_kind == "value"
+
+        class MethodTableProbeTarget(RemoteInterface):
+            def ping(self) -> int: ...
+
+        after = remote_methods(ForwardProbe)
+        assert after is not before
+        assert after["make"].returns_kind == "remote"
+        assert after["make"].returns_interface == qualified_name(
+            MethodTableProbeTarget
+        )
 
 
 class TestRegistry:
