@@ -30,7 +30,13 @@ from repro.apps import (
     Word,
 )
 from repro.bench.harness import BenchEnv, Experiment, Series, sweep
-from repro.model.analytic import CallShape, crossover_calls, predict_brmi_s, predict_rmi_s
+from repro.model.analytic import (
+    CallShape,
+    crossover_calls,
+    fit_batch_shape,
+    predict_brmi_s,
+    predict_rmi_s,
+)
 from repro.net.conditions import (
     DEFAULT_HOSTS,
     LAN,
@@ -319,13 +325,16 @@ def run_baseline_comparison(conditions: NetworkConditions = LAN,
 def run_model_comparison(conditions: NetworkConditions = LAN) -> Experiment:
     """Analytic model vs simulation for the no-op benchmark.
 
-    Feeds the model the byte profile observed on the wire, then compares
-    predictions with simulated measurements point by point.
+    Feeds the model the byte profile observed on the wire (batch
+    envelope and per-op bytes fitted from the smallest and largest
+    batch), then compares predictions with simulated measurements point
+    by point.
     """
     simulated_rmi = Series("simulated RMI")
     simulated_brmi = Series("simulated BRMI")
     model_rmi = Series("model RMI")
     model_brmi = Series("model BRMI")
+    observed = []
     for n in NOOP_CALLS:
         with BenchEnv(conditions) as env:
             stub = env.lookup("noop")
@@ -343,16 +352,13 @@ def run_model_comparison(conditions: NetworkConditions = LAN) -> Experiment:
             ms = env.measure_ms(run_noop_brmi, stub, n)
             snap = env.client.stats.snapshot()
             simulated_brmi.add(n, ms)
-            brmi_shape = CallShape(
-                batched_request_bytes=max(
-                    (snap.bytes_sent - 120) // n, 0),
-                batched_response_bytes=max(
-                    (snap.bytes_received - 120) // n, 0),
-            )
+            observed.append((n, snap.bytes_sent, snap.bytes_received))
+    shape = fit_batch_shape(observed[0], observed[-1], rmi_shape)
+    for n in NOOP_CALLS:
         model_rmi.add(n, predict_rmi_s(conditions, DEFAULT_HOSTS, n,
-                                       rmi_shape) * 1e3)
+                                       shape) * 1e3)
         model_brmi.add(n, predict_brmi_s(conditions, DEFAULT_HOSTS, n,
-                                         brmi_shape) * 1e3)
+                                         shape) * 1e3)
     return Experiment(
         exp_id="ablation-model",
         title="Analytic model vs simulation (no-op)",
@@ -360,7 +366,7 @@ def run_model_comparison(conditions: NetworkConditions = LAN) -> Experiment:
         conditions_name=conditions.name,
         series=[simulated_rmi, model_rmi, simulated_brmi, model_brmi],
         notes=f"Model crossover at n="
-        f"{crossover_calls(conditions, DEFAULT_HOSTS)} calls.",
+        f"{crossover_calls(conditions, DEFAULT_HOSTS, shape)} calls.",
     )
 
 

@@ -131,6 +131,14 @@ class BatchResponse:
     - ``break_seq``: the op whose exception broke the batch, if any;
     - ``session_id``: server session for chained batches, if kept;
     - ``restarts``: how many RESTART policy actions were taken.
+
+    On the wire a reply carries only the fields that differ from their
+    defaults (empty map, ``()``, ``NONE_ID``, ``0``), in declaration
+    order; :meth:`from_wire` fills every missing field back in with its
+    default.  A steady-state reply is therefore just its ``results``.
+    Both directions stay compatible: a full nine-field reply from an
+    older server decodes unchanged, and an older client rebuilds a lean
+    reply through the same dataclass defaults.
     """
 
     results: Dict = field(default_factory=dict)
@@ -145,6 +153,33 @@ class BatchResponse:
 
     def __post_init__(self):
         object.__setattr__(self, "not_executed", tuple(self.not_executed))
+
+    def to_wire(self) -> Dict:
+        """Wire dict of the non-default fields only."""
+        fields = {}
+        if self.results:
+            fields["results"] = self.results
+        if self.exceptions:
+            fields["exceptions"] = self.exceptions
+        if self.cursor_lengths:
+            fields["cursor_lengths"] = self.cursor_lengths
+        if self.cursor_results:
+            fields["cursor_results"] = self.cursor_results
+        if self.cursor_exceptions:
+            fields["cursor_exceptions"] = self.cursor_exceptions
+        if self.not_executed:
+            fields["not_executed"] = self.not_executed
+        if self.break_seq != NONE_ID:
+            fields["break_seq"] = self.break_seq
+        if self.session_id != NONE_ID:
+            fields["session_id"] = self.session_id
+        if self.restarts:
+            fields["restarts"] = self.restarts
+        return fields
+
+    @classmethod
+    def from_wire(cls, fields: Dict) -> "BatchResponse":
+        return cls(**fields)
 
     def break_exception(self):
         """The exception that broke the batch, or None."""

@@ -4,6 +4,7 @@ from repro.model.analytic import (
     BATCH_ENVELOPE_BYTES,
     CallShape,
     crossover_calls,
+    fit_batch_shape,
     latency_advantage,
     predict_brmi_s,
     predict_rmi_s,
@@ -15,6 +16,7 @@ __all__ = [
     "BATCH_ENVELOPE_BYTES",
     "CallShape",
     "crossover_calls",
+    "fit_batch_shape",
     "latency_advantage",
     "predict_brmi_s",
     "predict_rmi_s",

@@ -15,6 +15,8 @@ BRMI, one batch of n calls::
     T_brmi(n) = c_req + c_disp + 2·L + (b_up(n) + b_dn(n))·(8/B + 2·k)
               + c_setup + n·(c_record + c_op)
 
+    b_up(n) = e_up + n·b_op_up        b_dn(n) = e_dn + n·b_op_dn
+
 with L the one-way latency, B the bandwidth, k the per-byte CPU cost and
 c_* the per-event host charges.  The model predicts the same quantities
 the simulator measures, so tests can hold them against each other, and
@@ -24,6 +26,7 @@ RMI wins (Figure 5 shows it empirically at n ≈ 2).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -39,6 +42,11 @@ from repro.net.conditions import (
 )
 
 
+#: Default envelope bytes of a batch request/response beyond its per-op
+#: payload; :func:`fit_batch_shape` measures the real ones.
+BATCH_ENVELOPE_BYTES = 120
+
+
 @dataclass(frozen=True)
 class CallShape:
     """Byte/structure profile of one logical remote call.
@@ -46,6 +54,8 @@ class CallShape:
     - ``request_bytes`` / ``response_bytes``: payload per plain RMI call;
     - ``batched_request_bytes`` / ``batched_response_bytes``: marginal
       payload this call adds to a batch (descriptor vs full envelope);
+    - ``batch_request_envelope_bytes`` / ``batch_response_envelope_bytes``:
+      what one batch request/response costs beyond its per-op payload;
     - ``remote_returns``: how many remote objects the call returns (each
       costs an export + stub creation under RMI, nothing under BRMI).
     """
@@ -55,21 +65,13 @@ class CallShape:
     batched_request_bytes: int = 72
     batched_response_bytes: int = 24
     remote_returns: int = 0
+    batch_request_envelope_bytes: int = BATCH_ENVELOPE_BYTES
+    batch_response_envelope_bytes: int = BATCH_ENVELOPE_BYTES
 
     def __post_init__(self):
-        for field_name in (
-            "request_bytes",
-            "response_bytes",
-            "batched_request_bytes",
-            "batched_response_bytes",
-            "remote_returns",
-        ):
-            if getattr(self, field_name) < 0:
-                raise ValueError(f"{field_name} cannot be negative")
-
-
-#: Envelope bytes of a batch request/response beyond its per-op payload.
-BATCH_ENVELOPE_BYTES = 120
+        for shape_field in dataclasses.fields(self):
+            if getattr(self, shape_field.name) < 0:
+                raise ValueError(f"{shape_field.name} cannot be negative")
 
 
 def _one_way(conditions: NetworkConditions, hosts: HostCosts,
@@ -107,8 +109,9 @@ def predict_brmi_s(conditions: NetworkConditions, hosts: HostCosts,
         raise ValueError(f"calls cannot be negative: {calls}")
     if calls == 0:
         return 0.0
-    up = BATCH_ENVELOPE_BYTES + calls * shape.batched_request_bytes
-    down = BATCH_ENVELOPE_BYTES + calls * shape.batched_response_bytes
+    up = shape.batch_request_envelope_bytes + calls * shape.batched_request_bytes
+    down = (shape.batch_response_envelope_bytes
+            + calls * shape.batched_response_bytes)
     return (
         hosts.request_overhead_s
         + hosts.dispatch_overhead_s
@@ -180,4 +183,29 @@ def shape_from_stats(requests: int, bytes_sent: int, bytes_received: int,
         batched_request_bytes=bytes_sent // requests,
         batched_response_bytes=bytes_received // requests,
         remote_returns=remote_returns,
+    )
+
+
+def fit_batch_shape(small, large, base: CallShape = CallShape()) -> CallShape:
+    """Fit batch envelope and per-op bytes from two observed batches.
+
+    *small* and *large* are ``(calls, bytes_sent, bytes_received)`` of
+    one flushed batch each, at two different sizes.  A batch's wire
+    bytes are affine in its op count, so the two points give the per-op
+    bytes (slope) and the envelope (intercept) in each direction.  The
+    plain-RMI fields are taken from *base*.
+    """
+    (small_calls, small_up, small_down) = small
+    (large_calls, large_up, large_down) = large
+    if small_calls == large_calls:
+        raise ValueError("need two different batch sizes to fit a shape")
+    span = large_calls - small_calls
+    op_up = (large_up - small_up) // span
+    op_down = (large_down - small_down) // span
+    return dataclasses.replace(
+        base,
+        batched_request_bytes=op_up,
+        batched_response_bytes=op_down,
+        batch_request_envelope_bytes=small_up - small_calls * op_up,
+        batch_response_envelope_bytes=small_down - small_calls * op_down,
     )

@@ -9,6 +9,15 @@ Both shapes are registered dataclasses, which the zero-copy encoder
 turns into pre-baked per-class handlers on first use: the class name,
 field keys, and dict header are appended as constant byte strings, so a
 request or response costs one buffer append per *value*, not per token.
+
+Two payloads leave out what the receiver can infer, through
+``to_wire``/``from_wire`` hooks: an untraced ``CallRequest`` omits its
+trace fields, and a batch reply
+(:class:`~repro.core.recording.BatchResponse`, carried as a
+``CallResponse`` value) ships only the fields that differ from their
+defaults.  Decoding is ``cls(**fields)``, so a missing field comes back
+as its default: a peer still sending every field decodes unchanged, and
+a peer that predates the omission rebuilds lean messages the same way.
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from repro.bench.harness import BenchEnv
 from repro.model.analytic import (
     CallShape,
     crossover_calls,
+    fit_batch_shape,
     latency_advantage,
     predict_brmi_s,
     predict_rmi_s,
@@ -86,6 +87,34 @@ class TestShapeFromStats:
             CallShape(request_bytes=-1)
 
 
+class TestFitBatchShape:
+    def test_recovers_envelope_and_per_op_bytes(self):
+        shape = fit_batch_shape((1, 150, 60), (5, 350, 100))
+        assert shape.batched_request_bytes == 50
+        assert shape.batched_response_bytes == 10
+        assert shape.batch_request_envelope_bytes == 100
+        assert shape.batch_response_envelope_bytes == 50
+
+    def test_keeps_plain_rmi_fields_of_base(self):
+        base = CallShape(request_bytes=11, response_bytes=7)
+        shape = fit_batch_shape((2, 300, 90), (4, 500, 130), base)
+        assert (shape.request_bytes, shape.response_bytes) == (11, 7)
+
+    def test_needs_two_batch_sizes(self):
+        with pytest.raises(ValueError):
+            fit_batch_shape((3, 300, 90), (3, 300, 90))
+
+
+def _observed_batch(calls):
+    """``(calls, bytes_sent, bytes_received)`` of one no-op batch."""
+    with BenchEnv(LAN) as env:
+        stub = env.lookup("noop")
+        env.client.stats.reset()
+        run_noop_brmi(stub, calls)
+        snap = env.client.stats.snapshot()
+    return calls, snap.bytes_sent, snap.bytes_received
+
+
 class TestModelVsSimulation:
     @pytest.mark.parametrize("conditions", [LAN, WIRELESS],
                              ids=["lan", "wireless"])
@@ -108,15 +137,9 @@ class TestModelVsSimulation:
     def test_brmi_prediction_within_tolerance(self):
         calls = 5
         with BenchEnv(LAN) as env:
-            stub = env.lookup("noop")
-            env.client.stats.reset()
-            measured_ms = env.measure_ms(run_noop_brmi, stub, calls)
-            snap = env.client.stats.snapshot()
-        shape = CallShape(
-            batched_request_bytes=(snap.bytes_sent - 120) // calls,
-            batched_response_bytes=max((snap.bytes_received - 120) // calls,
-                                       0),
-        )
+            measured_ms = env.measure_ms(run_noop_brmi, env.lookup("noop"),
+                                         calls)
+        shape = fit_batch_shape(_observed_batch(1), _observed_batch(calls))
         predicted_ms = predict_brmi_s(LAN, DEFAULT_HOSTS, calls, shape) * 1e3
         assert predicted_ms == pytest.approx(measured_ms, rel=0.20)
 
@@ -129,18 +152,13 @@ class TestModelVsSimulation:
             env.client.stats.reset()
             run_noop_rmi(stub, 1)
             rmi_snap = env.client.stats.snapshot()
-        calls = 5
-        with BenchEnv(LAN) as env:
-            stub = env.lookup("noop")
-            env.client.stats.reset()
-            run_noop_brmi(stub, calls)
-            brmi_snap = env.client.stats.snapshot()
-        shape = CallShape(
-            request_bytes=rmi_snap.bytes_sent,
-            response_bytes=rmi_snap.bytes_received,
-            batched_request_bytes=(brmi_snap.bytes_sent - 120) // calls,
-            batched_response_bytes=max(
-                (brmi_snap.bytes_received - 120) // calls, 0),
+        shape = fit_batch_shape(
+            _observed_batch(1),
+            _observed_batch(5),
+            CallShape(
+                request_bytes=rmi_snap.bytes_sent,
+                response_bytes=rmi_snap.bytes_received,
+            ),
         )
         model_cross = crossover_calls(LAN, DEFAULT_HOSTS, shape)
 
