@@ -18,7 +18,9 @@ Entry points:
   load harness behind ``benchmarks/test_throughput_aio.py``.
 - :class:`Supervisor` / ``python -m repro.aio serve --procs N`` —
   multi-core serving: N worker processes sharing one listening port via
-  ``SO_REUSEPORT``, with per-pid metrics merged into one report.
+  ``SO_REUSEPORT``, with per-pid metrics merged into one report.  It is
+  one argv shape of :class:`~repro.aio.supervisor.ProcessGroup`, the
+  supervisor the cluster plane's ``ClusterSupervisor`` shares.
 """
 
 from repro.aio.channel import AioChannel, AioConnection

@@ -52,12 +52,17 @@ import argparse
 import dataclasses
 import json
 import os
-import signal
-import sys
-import threading
 
 from repro.aio.loadgen import SERVICE_NAME, LoadTargetImpl, run_load
 from repro.aio.network import AioNetwork
+from repro.aio.supervisor import (
+    Supervisor,
+    parse_admin_port,
+    serve_group,
+    shutdown_event,
+    wait_for_stop,
+    write_metrics_json,
+)
 from repro.net.tcp import TcpNetwork
 from repro.rmi import RMIServer
 
@@ -102,11 +107,8 @@ def _metrics_path(args) -> str:
 
 def _dump_metrics(registry, args) -> None:
     path = _metrics_path(args)
-    if registry is None or path is None:
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(registry.to_dict(), fh, sort_keys=True)
-    print(f"METRICS_JSON {path}", flush=True)
+    if registry is not None and path is not None:
+        write_metrics_json(registry, path)
 
 
 def _registry_for(args):
@@ -115,64 +117,6 @@ def _registry_for(args):
     from repro.obs.metrics import MetricsRegistry
 
     return MetricsRegistry()
-
-
-def _admin_port(args):
-    """``--admin-port`` resolved: None when off, 0 for ``auto``."""
-    value = getattr(args, "admin_port", None)
-    if value is None:
-        return None
-    if value == "auto":
-        return 0
-    try:
-        return int(value)
-    except ValueError:
-        raise SystemExit(f"--admin-port wants a port number or 'auto', "
-                         f"got {value!r}")
-
-
-def _install_shutdown_signals(stop_event: threading.Event) -> None:
-    """Route SIGTERM/SIGINT into a graceful drain.
-
-    Without this, a TERM kills the event loop mid-request; with it, the
-    serve loop wakes, calls the server's draining ``stop()``, and dumps
-    its metrics before exiting.  Best-effort: off the main thread (or on
-    platforms without the signal) the stdin-EOF path still works.
-    """
-
-    def request_stop(signum, frame):
-        stop_event.set()
-
-    for name in ("SIGTERM", "SIGINT"):
-        signum = getattr(signal, name, None)
-        if signum is None:
-            continue
-        try:
-            signal.signal(signum, request_stop)
-        except (ValueError, OSError):
-            pass  # not the main thread / unsupported platform
-
-
-def _watch_stdin(stop_event: threading.Event) -> None:
-    """Set *stop_event* when stdin reaches EOF (the legacy stop path)."""
-
-    def drain():
-        try:
-            sys.stdin.read()
-        except Exception:  # noqa: BLE001 - any stdin failure means "stop"
-            pass
-        stop_event.set()
-
-    threading.Thread(target=drain, name="serve-stdin-eof",
-                     daemon=True).start()
-
-
-def _wait(stop_event: threading.Event, alive=None) -> bool:
-    """Block until a stop is requested; False if *alive* failed first."""
-    while not stop_event.wait(0.2):
-        if alive is not None and not alive():
-            return False
-    return True
 
 
 def _shard_identity(args):
@@ -205,7 +149,7 @@ def _serve(args) -> int:
             )
         return _serve_procs(args)
     shard, shard_home = _shard_identity(args)
-    admin_port = _admin_port(args)
+    admin_port = parse_admin_port(args.admin_port)
     tracer = _tracer_for(args)
     auto_tracer = None
     if admin_port is not None and tracer is None:
@@ -260,13 +204,11 @@ def _serve(args) -> int:
         admin = AdminServer(worker_commands(
             registry=registry, tracer=tracer or auto_tracer, health=health,
         ), port=admin_port)
-    stop_event = threading.Event()
-    _install_shutdown_signals(stop_event)
-    _watch_stdin(stop_event)
+    stop_event = shutdown_event()
     print(f"ADDRESS {server.address}", flush=True)
     if admin is not None:
         print(f"ADMIN {admin.address}", flush=True)
-    _wait(stop_event)
+    wait_for_stop(stop_event)
     # Graceful drain first, books second: the final metrics dump must
     # account for every request the drain let finish.  The admin
     # endpoint outlives the drain (health reports ready=false during
@@ -293,35 +235,21 @@ def _serve_procs(args) -> int:
             "--trace is per-process; with --procs run workers directly "
             "(serve --reuseport --port N --trace FILE) to trace one"
         )
-    from repro.aio.supervisor import Supervisor
-
+    admin_port = parse_admin_port(args.admin_port)
     supervisor = Supervisor(
         procs=args.procs, transport=args.transport, port=args.port,
         workers=args.workers, queue_depth=args.queue_depth,
         exec_workers=args.exec_workers,
         metrics_dir=args.procs_metrics_dir or None,
-        admin=_admin_port(args) if _admin_port(args) is not None else False,
+        admin=admin_port,
     ).start()
-    stop_event = threading.Event()
-    _install_shutdown_signals(stop_event)
-    _watch_stdin(stop_event)
-    print(f"ADDRESS {supervisor.address}", flush=True)
-    if _admin_port(args) is not None:
-        print(f"ADMIN {supervisor.admin_address}", flush=True)
+    lines = [f"ADDRESS {supervisor.address}"]
+    if admin_port is not None:
+        lines.append(f"ADMIN {supervisor.admin_address}")
     mode = "reuseport" if supervisor.reuseport else "single-acceptor"
     pids = ",".join(str(pid) for pid in supervisor.pids)
-    print(f"PROCS {supervisor.procs} mode={mode} pids={pids}", flush=True)
-    clean = _wait(stop_event, alive=supervisor.alive)
-    merged = supervisor.stop()
-    path = _metrics_path(args)
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(merged.to_dict(), fh, sort_keys=True)
-        print(f"METRICS_JSON {path}", flush=True)
-    if not clean:
-        print("WORKER_DIED", flush=True)
-        return 1
-    return 0
+    lines.append(f"PROCS {supervisor.procs} mode={mode} pids={pids}")
+    return serve_group(supervisor, lines, _metrics_path(args), "WORKER_DIED")
 
 
 def _load(args) -> int:
@@ -332,8 +260,6 @@ def _load(args) -> int:
     supervisor = None
     address = args.address
     if address is None and args.procs > 1:
-        from repro.aio.supervisor import Supervisor
-
         supervisor = Supervisor(
             procs=args.procs, transport=args.transport,
             workers=args.workers, queue_depth=args.queue_depth,

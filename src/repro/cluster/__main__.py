@@ -9,82 +9,35 @@ per shard and prints the deployment on stdout, one line each::
 
 then serves until stdin reaches EOF or a SIGTERM/SIGINT arrives, drains
 every shard, and (with ``--metrics-json``) writes the merged
-cluster-wide metrics registry.  Point ``python -m repro.obs top|health``
-at the ADMIN address, and a :class:`~repro.cluster.client.ClusterClient`
-at the ADDRESSES list (in order — the position is the shard index).
+cluster-wide metrics registry.  A shard that dies unasked ends the run
+with ``SHARD_DIED`` and exit status 1.  Point ``python -m repro.obs
+top|health`` at the ADMIN address, and a
+:class:`~repro.cluster.client.ClusterClient` at the ADDRESSES list (in
+order — the position is the shard index).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import signal
-import sys
-import threading
-
-
-def _install_shutdown_signals(stop_event: threading.Event) -> None:
-    def request_stop(signum, frame):
-        stop_event.set()
-
-    for name in ("SIGTERM", "SIGINT"):
-        signum = getattr(signal, name, None)
-        if signum is None:
-            continue
-        try:
-            signal.signal(signum, request_stop)
-        except (ValueError, OSError):
-            pass
-
-
-def _watch_stdin(stop_event: threading.Event) -> None:
-    def drain():
-        try:
-            sys.stdin.read()
-        except Exception:  # noqa: BLE001 - any stdin failure means "stop"
-            pass
-        stop_event.set()
-
-    threading.Thread(target=drain, name="cluster-stdin-eof",
-                     daemon=True).start()
 
 
 def _serve(args) -> int:
+    from repro.aio.supervisor import parse_admin_port, serve_group
     from repro.cluster.supervisor import ClusterSupervisor
 
-    admin = False
-    if args.admin_port is not None:
-        admin = 0 if args.admin_port == "auto" else int(args.admin_port)
-        if admin == 0:
-            admin = True
+    admin_port = parse_admin_port(args.admin_port)
     supervisor = ClusterSupervisor(
         shards=args.shards, transport=args.transport,
         workers=args.workers, queue_depth=args.queue_depth,
         exec_workers=args.exec_workers,
         metrics_dir=args.metrics_dir or None,
-        admin=admin,
+        admin=admin_port,
     ).start()
-    stop_event = threading.Event()
-    _install_shutdown_signals(stop_event)
-    _watch_stdin(stop_event)
-    print(f"SHARDS {supervisor.shards}", flush=True)
-    print(f"ADDRESSES {','.join(supervisor.addresses)}", flush=True)
-    if args.admin_port is not None:
-        print(f"ADMIN {supervisor.admin_address}", flush=True)
-    clean = True
-    while not stop_event.wait(0.2):
-        if not supervisor.alive():
-            clean = False
-            break
-    merged = supervisor.stop()
-    if args.metrics_json:
-        with open(args.metrics_json, "w", encoding="utf-8") as fh:
-            json.dump(merged.to_dict(), fh, sort_keys=True)
-        print(f"METRICS_JSON {args.metrics_json}", flush=True)
-    if not clean:
-        print("SHARD_DIED", flush=True)
-        return 1
-    return 0
+    lines = [f"SHARDS {supervisor.shards}",
+             f"ADDRESSES {','.join(supervisor.addresses)}"]
+    if admin_port is not None:
+        lines.append(f"ADMIN {supervisor.admin_address}")
+    return serve_group(supervisor, lines, args.metrics_json, "SHARD_DIED")
 
 
 def main(argv=None) -> int:

@@ -7,52 +7,35 @@ one logical server behind a shared ``SO_REUSEPORT`` port, the
 port, its own object table, and a registry guarded by the shared
 :class:`~repro.cluster.shardmap.ShardMap` placement.  A
 :class:`~repro.cluster.client.ClusterClient` pointed at
-:attr:`addresses` talks to all of them.
+:attr:`~ClusterSupervisor.addresses` talks to all of them.
 
-The observability planes span the cluster the same way they span a
-reuseport group: every shard serves its own admin endpoint, and the
-supervisor aggregates them behind one cluster endpoint
-(:attr:`admin_address`) built from the same
-:func:`repro.obs.live.cluster_commands` — so ``python -m repro.obs
-top|health`` against a sharded cluster needs no new verbs.  On stop,
-per-shard metrics dumps merge through the registry's cross-process
-merge semantics into one cluster-wide report.
+Both are the same :class:`~repro.aio.supervisor.ProcessGroup` with a
+different per-child argv, so everything else is shared: the startup
+handshake, the aggregated admin endpoint (``python -m repro.obs
+top|health`` against a sharded cluster needs no new verbs), the TERM
+drain, and the merge of per-shard metrics dumps into one cluster-wide
+report (unreadable dumps counted under ``cluster.dump_errors``).
 """
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
-import signal
-import subprocess
-import sys
-import tempfile
-import threading
 
-from repro.cluster.shardmap import ShardMap, shard_label
-
-#: Seconds stop() gives each shard to drain before escalating to kill.
-DEFAULT_STOP_TIMEOUT = 30.0
-
-#: Seconds start() waits for each shard to report its address.
-DEFAULT_START_TIMEOUT = 30.0
+from repro.aio.supervisor import DEFAULT_START_TIMEOUT, ProcessGroup
+from repro.cluster.shardmap import ShardMap
 
 
-class ClusterSupervisorError(RuntimeError):
-    """A shard failed to start, or died while being supervised."""
-
-
-class ClusterSupervisor:
+class ClusterSupervisor(ProcessGroup):
     """Spawn and manage the serve processes of an N-shard cluster.
 
-    *shards* is the cluster size; *transport*, *workers*, *queue_depth*
-    configure each shard's serve runtime exactly like ``python -m
-    repro.aio serve``.  *admin* turns on the introspection plane
-    (``True`` for an ephemeral aggregation port, an int for a fixed
-    one); *metrics_dir* keeps the per-shard metrics dumps (a temp dir
-    removed after the merge by default).
+    *shards* is the cluster size; the other parameters are
+    :class:`~repro.aio.supervisor.ProcessGroup`'s, applied to every
+    shard.
     """
+
+    dump_counter = "cluster.dump_errors"
+    _role = "shard"
+    _tmp_prefix = "repro-cluster-"
 
     def __init__(self, *, shards: int, transport: str = "aio",
                  host: str = "127.0.0.1", workers: int = 64,
@@ -63,235 +46,28 @@ class ClusterSupervisor:
         if shards < 1:
             raise ValueError(f"shards must be >= 1: {shards}")
         self.shard_map = ShardMap(shards)
-        self._shards = shards
-        self._transport = transport
-        self._host = host
-        self._workers = workers
-        self._queue_depth = queue_depth
-        self._exec_workers = exec_workers
-        self._start_timeout = start_timeout
-        self._metrics_dir = metrics_dir
-        self._own_metrics_dir = metrics_dir is None
-        self._children = []
-        self._addresses = []
-        self._merged = None
-        self._lock = threading.Lock()
-        self._stopped = False
-        self._admin_on = admin is not False and admin is not None
-        self._admin_port = 0 if admin is True else (admin or 0)
-        self._admin_server = None
-        self._admin_addresses = []
-        self._dump_errors = 0
-
-    # -- introspection ---------------------------------------------------
+        super().__init__(
+            shards, transport=transport, host=host, workers=workers,
+            queue_depth=queue_depth, exec_workers=exec_workers,
+            metrics_dir=metrics_dir, start_timeout=start_timeout,
+            admin=admin,
+        )
 
     @property
     def shards(self) -> int:
-        return self._shards
-
-    @property
-    def addresses(self) -> tuple:
-        """Every shard's ``tcp://...`` address, in shard order."""
-        if not self._addresses:
-            raise RuntimeError("cluster supervisor is not started")
-        return tuple(self._addresses)
+        return self._count
 
     @property
     def labels(self) -> tuple:
         return self.shard_map.labels
 
-    @property
-    def pids(self) -> tuple:
-        return tuple(child.pid for child in self._children)
-
-    @property
-    def admin_addresses(self) -> tuple:
-        """Each shard's own admin endpoint (admin mode only)."""
-        return tuple(self._admin_addresses)
-
-    @property
-    def admin_address(self) -> str:
-        """The cluster-wide aggregation admin endpoint."""
-        if self._admin_server is None:
-            raise RuntimeError("cluster supervisor has no admin endpoint "
-                               "(pass admin=True)")
-        return self._admin_server.address
-
-    @property
-    def dump_errors(self) -> int:
-        """Per-shard metrics dumps that could not be merged on stop."""
-        return self._dump_errors
-
-    def alive(self) -> bool:
-        """True while every shard process is still running."""
-        return bool(self._children) and all(
-            child.poll() is None for child in self._children
-        )
-
-    # -- lifecycle -------------------------------------------------------
-
-    def start(self) -> "ClusterSupervisor":
-        """Spawn every shard and wait for each to report its address."""
-        if self._children:
-            raise RuntimeError("cluster supervisor already started")
-        if self._metrics_dir is None:
-            self._metrics_dir = tempfile.mkdtemp(prefix="repro-cluster-")
-        self._metrics_dir = str(self._metrics_dir)
-        try:
-            for index in range(self._shards):
-                self._children.append(self._spawn(index))
-            self._addresses = [
-                self._read_line(child, "ADDRESS")
-                for child in self._children
-            ]
-            if self._admin_on:
-                self._admin_addresses = [
-                    self._read_line(child, "ADMIN")
-                    for child in self._children
-                ]
-                self._start_admin()
-        except Exception:
-            self._kill_all()
-            self._release()
-            raise
-        return self
-
-    def _start_admin(self) -> None:
-        from repro.obs.live import AdminServer, cluster_commands
-
-        def health_extra():
-            return {
-                "shards": self._shards,
-                "shards_alive": sum(
-                    1 for child in self._children if child.poll() is None
-                ),
-            }
-
-        self._admin_server = AdminServer(cluster_commands(
-            lambda: list(self._admin_addresses), health=health_extra,
-        ), host=self._host, port=self._admin_port)
-
-    def _spawn(self, index: int) -> subprocess.Popen:
-        metrics_template = os.path.join(
-            self._metrics_dir, f"metrics-shard{index}-{{pid}}.json"
-        )
-        cmd = [
-            sys.executable, "-m", "repro.aio", "serve",
-            "--transport", self._transport,
-            "--port", "0",
-            "--workers", str(self._workers),
-            "--queue-depth", str(self._queue_depth),
-            "--shard", shard_label(index, self._shards),
-            "--metrics-json", metrics_template,
+    def _child_argvs(self) -> list:
+        return [
+            ["--port", "0", "--shard", label, "--metrics-json",
+             os.path.join(self._metrics_dir,
+                          f"metrics-shard{index}-{{pid}}.json")]
+            for index, label in enumerate(self.labels)
         ]
-        if self._exec_workers is not None:
-            cmd.extend(["--exec-workers", str(self._exec_workers)])
-        if self._admin_on:
-            cmd.extend(["--admin-port", "0"])
-        env = dict(os.environ)
-        src = str(pathlib.Path(__file__).resolve().parent.parent.parent)
-        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        return subprocess.Popen(
-            cmd, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            text=True, env=env,
-        )
 
-    def _read_line(self, child: subprocess.Popen, tag: str) -> str:
-        """Read one ``TAG value`` startup line from a shard process."""
-        timer = threading.Timer(self._start_timeout, child.kill)
-        timer.start()
-        try:
-            line = child.stdout.readline().strip()
-        finally:
-            timer.cancel()
-        if not line.startswith(tag + " "):
-            raise ClusterSupervisorError(
-                f"shard pid={child.pid} failed to start "
-                f"(said {line!r} instead of a {tag} line)"
-            )
-        return line.split(" ", 1)[1]
-
-    def stop(self, timeout: float = DEFAULT_STOP_TIMEOUT):
-        """Drain every shard, reap, and merge their metrics dumps.
-
-        Returns the merged cluster-wide
-        :class:`~repro.obs.metrics.MetricsRegistry` (idempotent).
-        """
-        with self._lock:
-            if self._stopped:
-                return self._merged
-            self._stopped = True
-        if self._admin_server is not None:
-            self._admin_server.close()
-            self._admin_server = None
-        for child in self._children:
-            if child.poll() is None:
-                try:
-                    child.send_signal(signal.SIGTERM)
-                except OSError:
-                    pass
-        for child in self._children:
-            try:
-                child.communicate(timeout=timeout)
-            except subprocess.TimeoutExpired:
-                child.kill()
-                child.communicate(timeout=10.0)
-        self._merged = self._merge_metrics()
-        self._release()
-        return self._merged
-
-    def _merge_metrics(self):
-        from repro.obs.metrics import MetricsRegistry
-
-        merged = MetricsRegistry()
-        if self._metrics_dir is None:  # stopped before start
-            return merged
-        directory = pathlib.Path(self._metrics_dir)
-        for path in sorted(directory.glob("metrics-*.json")):
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    dump = json.load(fh)
-                MetricsRegistry.from_dict(dump)
-            except (ValueError, OSError) as exc:
-                self._dump_errors += 1
-                print(f"WARNING: skipping unreadable metrics dump "
-                      f"{path.name}: {exc}", file=sys.stderr, flush=True)
-                continue
-            merged.merge(dump)
-        if self._dump_errors:
-            merged.counter("cluster.dump_errors").inc(self._dump_errors)
-        return merged
-
-    def metrics_files(self) -> list:
-        """The per-shard dump paths currently on disk."""
-        return sorted(
-            str(p) for p in pathlib.Path(self._metrics_dir).glob(
-                "metrics-*.json"
-            )
-        )
-
-    def _kill_all(self) -> None:
-        for child in self._children:
-            if child.poll() is None:
-                child.kill()
-        for child in self._children:
-            try:
-                child.communicate(timeout=10.0)
-            except subprocess.TimeoutExpired:
-                pass
-
-    def _release(self) -> None:
-        if self._admin_server is not None:
-            self._admin_server.close()
-            self._admin_server = None
-        if self._own_metrics_dir and self._metrics_dir is not None:
-            import shutil
-
-            shutil.rmtree(self._metrics_dir, ignore_errors=True)
-
-    def __enter__(self):
-        return self.start() if not self._children else self
-
-    def __exit__(self, *exc_info):
-        self.stop()
-        return False
+    def _health_extra(self) -> dict:
+        return {"shards": self._count, "shards_alive": self._alive_count()}

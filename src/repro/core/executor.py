@@ -394,17 +394,31 @@ class BatchExecutor:
 
         return pool.submit(task)
 
-    def _run_parallel(self, invocations, policy, outcome, dag):
-        """Run an eligible batch: chains concurrent, merge in seq order.
+    def _fan_out(self, pool, fn, items):
+        """``[fn(item) for item in items]``, run concurrently on *pool*.
 
-        Scheduling is cancel-steal: the caller runs the first chain
-        inline, then claims each still-queued chain back from the pool
+        Scheduling is cancel-steal: the caller runs the first item
+        inline, then claims each still-queued item back from the pool
         (``Future.cancel`` succeeds only before a task starts) and runs
         it inline too.  Under a saturated pool the caller therefore
         degenerates to plain serial execution — never slower than the
         serial path, and never deadlocked waiting on work no thread
-        will pick up.
+        will pick up.  A failure cancels everything still queued.
         """
+        futures = [self._spawn(pool, fn, item) for item in items[1:]]
+        try:
+            results = [fn(items[0])]
+            for item, fut in zip(items[1:], futures):
+                results.append(fn(item) if fut.cancel() else fut.result())
+        except BaseException:
+            for fut in futures:
+                fut.cancel()
+            raise
+        return results
+
+    def _run_parallel(self, invocations, policy, outcome, dag):
+        """Run an eligible batch: chains concurrent (see :meth:`_fan_out`),
+        merged in seq order."""
         self._server.charge(CHARGE_BATCH_SETUP)
         pool = self._pool()
         units = dag.units
@@ -418,25 +432,7 @@ class BatchExecutor:
                     objects, pool,
                 )
 
-        chains = dag.chains
-        if len(chains) == 1:
-            run_chain(chains[0])
-        else:
-            futures = [
-                (chain, self._spawn(pool, run_chain, chain))
-                for chain in chains[1:]
-            ]
-            try:
-                run_chain(chains[0])
-                for chain, fut in futures:
-                    if fut.cancel():
-                        run_chain(chain)
-                    else:
-                        fut.result()
-            except BaseException:
-                for _chain, fut in futures:
-                    fut.cancel()
-                raise
+        self._fan_out(pool, run_chain, dag.chains)
         for frag in frags:
             self._merge_fragment(outcome, frag)
 
@@ -470,42 +466,13 @@ class BatchExecutor:
         index-major merge below reproduces the serial loop's insertion
         order (elements outer, sub-ops inner) exactly.
         """
-        resolved = self._resolve_invocation(inv, frag)
-        if resolved is None:
+        opened = self._open_cursor(inv, sub_ops, policy, frag)
+        if opened is None:
             return False
-        target, args, kwargs = resolved
-        collection, exc, action = self._call_with_policy(
-            target, inv, args, kwargs, policy
-        )
-        if exc is None:
-            try:
-                items = list(collection)
-            except TypeError:
-                exc = UnsupportedBatchOperationError(
-                    f"{inv.method!r} was batched as a cursor but returned "
-                    f"non-iterable {type(collection).__name__}"
-                )
-                action = policy.decide(exc, inv.method, inv.seq)
-        if exc is not None:
-            # CONTINUE-kind policy: never a break.
-            frag.record_failure(inv.seq, exc)
-            return False
-
-        seq = inv.seq
-        frag.cursor_lengths[seq] = len(items)
-        for index, item in enumerate(items):
-            frag.objects[(seq, index)] = item
-
-        element_scope = {seq}
-        for sub in sub_ops:
-            element_scope.add(sub.seq)
-        value_sub_seqs = [s.seq for s in sub_ops if s.returns_kind == "value"]
-        for sub_seq in value_sub_seqs:
-            frag.cursor_results[sub_seq] = []
-
-        count = len(items)
+        count, element_scope, value_sub_seqs = opened
         if count == 0 or not sub_ops:
             return True
+        seq = inv.seq
 
         def run_element(index):
             efrag = _Outcome(objects=frag.objects, defer_marshal=True)
@@ -517,26 +484,9 @@ class BatchExecutor:
                 )
             return efrag
 
-        efrags = [None] * count
-        if count == 1:
-            efrags[0] = run_element(0)
-        else:
+        if count > 1:
             self._scheduler.record_elements(count)
-            futures = [
-                (index, self._spawn(pool, run_element, index))
-                for index in range(1, count)
-            ]
-            try:
-                efrags[0] = run_element(0)
-                for index, fut in futures:
-                    if fut.cancel():
-                        efrags[index] = run_element(index)
-                    else:
-                        efrags[index] = fut.result()
-            except BaseException:
-                for _index, fut in futures:
-                    fut.cancel()
-                raise
+        efrags = self._fan_out(pool, run_element, range(count))
 
         # Index-major merge of element fragments == serial loop order.
         for index, efrag in enumerate(efrags):
@@ -595,9 +545,28 @@ class BatchExecutor:
 
     def _run_cursor(self, inv, sub_ops, policy, outcome: _Outcome) -> bool:
         """Run a cursor op plus its sub-batch; False if the op failed."""
+        opened = self._open_cursor(inv, sub_ops, policy, outcome)
+        if opened is None:
+            return False
+        count, element_scope, _value_sub_seqs = opened
+        for index in range(count):
+            for sub in sub_ops:
+                if outcome.broke:
+                    return True
+                self._run_sub_op(
+                    sub, inv.seq, index, element_scope, policy, outcome
+                )
+        return True
+
+    def _open_cursor(self, inv, sub_ops, policy, outcome: _Outcome):
+        """Call a cursor op and lay out its elements in *outcome*.
+
+        Returns ``(count, element_scope, value_sub_seqs)``, or None after
+        recording the failure when the op failed or was not iterable.
+        """
         resolved = self._resolve_invocation(inv, outcome)
         if resolved is None:
-            return False
+            return None
         target, args, kwargs = resolved
         collection, exc, action = self._call_with_policy(
             target, inv, args, kwargs, policy
@@ -612,11 +581,12 @@ class BatchExecutor:
                 )
                 action = policy.decide(exc, inv.method, inv.seq)
         if exc is not None:
+            # A parallel (CONTINUE-kind) unit never sees BREAK here.
             if action == ExceptionAction.BREAK:
                 outcome.record_break(inv.seq, exc)
             else:
                 outcome.record_failure(inv.seq, exc)
-            return False
+            return None
 
         seq = inv.seq
         outcome.cursor_lengths[seq] = len(items)
@@ -629,15 +599,7 @@ class BatchExecutor:
         value_sub_seqs = [s.seq for s in sub_ops if s.returns_kind == "value"]
         for sub_seq in value_sub_seqs:
             outcome.cursor_results[sub_seq] = []
-
-        for index in range(len(items)):
-            for sub in sub_ops:
-                if outcome.broke:
-                    return True
-                self._run_sub_op(
-                    sub, seq, index, element_scope, policy, outcome
-                )
-        return True
+        return len(items), element_scope, value_sub_seqs
 
     def _run_sub_op(self, sub, cursor_seq, index, element_scope, policy,
                     outcome: _Outcome):
