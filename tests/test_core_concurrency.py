@@ -68,8 +68,7 @@ class TestPerThreadBatches:
 
 
 class TestServerSideConcurrency:
-    def test_batches_from_many_threads_keep_their_own_order(
-            self, network, server):
+    def test_batches_from_many_threads_keep_order(self, network, server):
         """Paper §4.5 promises order *within* a batch, not isolation
         between batches: concurrent batches may interleave on the
         server, but every op runs exactly once and each batch's ops run
