@@ -44,9 +44,9 @@ from repro.wire.plans import ParamSlot
 from repro.wire.refs import RemoteRef
 
 SCALE = os.environ.get("BENCH_CODEC_SCALE", "full")
-ITERS = {"full": 400, "smoke": 120}[SCALE]
-BLOB_ITERS = {"full": 130, "smoke": 60}[SCALE]
-REPS = {"full": 15, "smoke": 3}[SCALE]
+ITERS = {"full": 1200, "smoke": 120}[SCALE]
+BLOB_ITERS = {"full": 400, "smoke": 60}[SCALE]
+REPS = {"full": 5, "smoke": 3}[SCALE]
 
 #: Combined encode+decode speedup each counting family must show.
 SPEEDUP_BAR = 2.0

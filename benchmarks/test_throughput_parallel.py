@@ -26,8 +26,6 @@ smoke`` shrinks the run for CI and relaxes the bars (CI machines vary).
 
 from __future__ import annotations
 
-import contextlib
-import gc
 import json
 import os
 import pathlib
@@ -60,11 +58,9 @@ SCALES = {
                   min_speedup=1.2, max_fallback_overhead=None),
 }
 
-#: Flushes timed per server in the ineligible lane, one sample each,
-#: alternating between the servers: the median per-flush time of many
-#: short interleaved samples keeps the 5% overhead bar on DAG analysis,
-#: not on scheduler jitter or machine drift.
-FALLBACK_FLUSHES = 450
+#: Repetitions of the ineligible lane; medians absorb scheduler jitter
+#: so the 5% overhead bar measures DAG analysis, not CI noise.
+FALLBACK_REPEATS = 5
 FALLBACK_OPS = 32
 
 
@@ -118,14 +114,13 @@ def _fanout_flush(stub, fan: int, delay: float, policy=None) -> None:
         future.get()
 
 
-@contextlib.contextmanager
-def _served_stub(exec_workers, cfg):
-    """A ``load`` stub on a fresh server process, shut down on exit."""
+def _with_server(exec_workers, cfg, measure):
     proc, address = _serve(cfg["workers"], exec_workers=exec_workers)
     network = AioNetwork()
     client = RMIClient(network, address)
     try:
-        yield client.lookup("load")
+        stub = client.lookup("load")
+        return measure(stub)
     finally:
         client.close()
         network.close()
@@ -135,11 +130,6 @@ def _served_stub(exec_workers, cfg):
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait(timeout=30)
-
-
-def _with_server(exec_workers, cfg, measure):
-    with _served_stub(exec_workers, cfg) as stub:
-        return measure(stub)
 
 
 class TestParallelExecutor:
@@ -191,34 +181,21 @@ class TestParallelExecutor:
         scale = _scale()
         cfg = SCALES[scale]
 
-        def timed(stub):
-            start = time.monotonic()
-            _fanout_flush(stub, FALLBACK_OPS, 0.0)
-            return time.monotonic() - start
+        def measure(stub):
+            # Default abort policy: the analyzer rejects the batch
+            # (reason "policy") and both servers replay serially; the
+            # only difference left is the analysis itself.
+            _fanout_flush(stub, FALLBACK_OPS, 0.0)  # warm the path
+            samples = []
+            for _ in range(FALLBACK_REPEATS):
+                start = time.monotonic()
+                for _ in range(cfg["flushes"]):
+                    _fanout_flush(stub, FALLBACK_OPS, 0.0)
+                samples.append(time.monotonic() - start)
+            return statistics.median(samples)
 
-        # Default abort policy: the analyzer rejects the batch (reason
-        # "policy") and both servers replay serially; the only
-        # difference left is the analysis itself.  Both servers run at
-        # once and take turns flush by flush (ABBA), so machine drift
-        # lands on both sides instead of on the ratio.
-        samples = {0: [], None: []}
-        was_enabled = gc.isenabled()
-        with _served_stub(0, cfg) as serial, \
-                _served_stub(None, cfg) as parallel:
-            stubs = {0: serial, None: parallel}
-            for stub in stubs.values():
-                _fanout_flush(stub, FALLBACK_OPS, 0.0)  # warm the path
-            gc.disable()
-            try:
-                for rep in range(FALLBACK_FLUSHES):
-                    order = (0, None) if rep % 2 == 0 else (None, 0)
-                    for key in order:
-                        samples[key].append(timed(stubs[key]))
-            finally:
-                if was_enabled:
-                    gc.enable()
-        serial_s = statistics.median(samples[0])
-        parallel_s = statistics.median(samples[None])
+        serial_s = _with_server(0, cfg, measure)
+        parallel_s = _with_server(None, cfg, measure)
         overhead = (parallel_s - serial_s) / serial_s if serial_s else 0.0
 
         payload = {
@@ -227,19 +204,19 @@ class TestParallelExecutor:
                 "scale": scale,
                 "config": {
                     "ops": FALLBACK_OPS,
-                    "flushes": FALLBACK_FLUSHES,
+                    "flushes": cfg["flushes"],
+                    "repeats": FALLBACK_REPEATS,
                 },
-                "serial_flush_ms": round(serial_s * 1e3, 4),
-                "parallel_enabled_flush_ms": round(parallel_s * 1e3, 4),
+                "serial_s": round(serial_s, 4),
+                "parallel_enabled_s": round(parallel_s, 4),
                 "overhead": round(overhead, 4),
             }
         }
         _record_results(payload)
         print()
         print(
-            f"[{scale}] ineligible batches: scheduler off "
-            f"{serial_s * 1e3:6.3f} ms/flush | scheduler on "
-            f"{parallel_s * 1e3:6.3f} ms/flush | overhead "
+            f"[{scale}] ineligible batches: scheduler off {serial_s:6.3f}s "
+            f"| scheduler on {parallel_s:6.3f}s | overhead "
             f"{overhead * 100:+.1f}%"
         )
         if cfg["max_fallback_overhead"] is not None:

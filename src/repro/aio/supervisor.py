@@ -94,9 +94,6 @@ class ProcessGroup:
 
     #: Counter the merge bumps once per unreadable per-child dump.
     dump_counter = "procs.dump_errors"
-    #: What one child is called in start-failure messages.
-    _role = "worker"
-    _tmp_prefix = "repro-procs-"
 
     def __init__(self, count: int, *, transport: str, host: str,
                  workers: int, queue_depth: int, exec_workers,
@@ -190,7 +187,7 @@ class ProcessGroup:
         if self._children:
             raise RuntimeError("supervisor already started")
         if self._metrics_dir is None:
-            self._metrics_dir = tempfile.mkdtemp(prefix=self._tmp_prefix)
+            self._metrics_dir = tempfile.mkdtemp(prefix="repro-procs-")
         self._metrics_dir = str(self._metrics_dir)
         try:
             for argv in self._child_argvs():
@@ -234,7 +231,7 @@ class ProcessGroup:
             timer.cancel()
         if not line.startswith(tag + " "):
             raise SupervisorError(
-                f"{self._role} pid={child.pid} failed to start "
+                f"child pid={child.pid} failed to start "
                 f"(said {line!r} instead of a {tag} line)"
             )
         return line.split(" ", 1)[1]

@@ -34,8 +34,6 @@ class ClusterSupervisor(ProcessGroup):
     """
 
     dump_counter = "cluster.dump_errors"
-    _role = "shard"
-    _tmp_prefix = "repro-cluster-"
 
     def __init__(self, *, shards: int, transport: str = "aio",
                  host: str = "127.0.0.1", workers: int = 64,
